@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # CI gate for the fabric reproduction.
 #
-#  1. Tier-1 (ROADMAP.md): release build + full quiet test suite.
+#  1. Tier-1 (ROADMAP.md): release build + full quiet test suite, then
+#     every crate's tests (`cargo test --workspace`): the unit tests of
+#     crypto, raft, pbft, ordering, gossip, statesync, kvstore, gateway and
+#     the rest run in no other gate.
 #  2. The peer crate (committer + multi-channel pipeline) passes clippy
 #     with -D warnings and its unit tests pass on their own.
 #  3. The statesync and chaincode crates pass clippy with -D warnings
@@ -11,7 +14,9 @@
 #     regression measures real latencies, and release timing is what the
 #     acceptance bound is calibrated against.
 #  5. The endorsement battery (equivalence proptests + fault injection)
-#     re-runs on its own so a tier-1 wobble can't mask it.
+#     re-runs on its own so a tier-1 wobble can't mask it, and so does
+#     the storage battery: the baseline WAL and `merkle.buckets` torn at
+#     every offset, and the baseline-vs-memory equivalence proptest.
 #  6. The ordering battery (equivalence proptests, fault injection,
 #     safety properties incl. the PBFT view-change partial-batch case)
 #     re-runs under --release: the proptests sign/verify hundreds of
@@ -33,13 +38,19 @@
 #     shared-pool pipeline manager, the starved-channel DRR/FIFO
 #     scenario, the endorse-pipeline submit/sign path, and the simnet
 #     ordering driver (which also asserts pipelined beats lockstep)
-#     that unit tests alone might miss; the gossip smoke also asserts
-#     priority-lane p99 beats flat under bulk statesync load.
+#     that unit tests alone might miss; the storage scale smoke loads
+#     and mixes reads, writes and checkpoints on the baseline store and
+#     its in-memory oracle; the gossip smoke also asserts priority-lane
+#     p99 beats flat under bulk statesync load.
 # 11. The gateway battery (equivalence proptest, fault injection, closed-
 #     loop e2e conservation) re-runs under --release, the gateway crate
 #     passes clippy with -D warnings, and the gateway e2e bench smoke
 #     asserts the 2x-overload bars (throughput within 10% of the
 #     ceiling, bounded p99, baseline degradation).
+# 12. The wall-clock end-to-end benchmark (`perfbench/`, its own cargo
+#     workspace) passes its smoke test: it still builds against the
+#     program's API, every workload emits every metric and passes its
+#     correctness gate.
 #
 # Run from the repo root: ./ci.sh
 set -euo pipefail
@@ -50,6 +61,9 @@ cargo build --release
 
 echo "== tier-1: cargo test -q =="
 cargo test -q
+
+echo "== every crate's tests: cargo test --workspace -q =="
+cargo test --workspace -q
 
 echo "== fabric-peer: clippy gate (-D warnings) + unit tests =="
 if cargo clippy --version >/dev/null 2>&1; then
@@ -91,7 +105,7 @@ fi
 echo "== endorsement battery: equivalence + fault injection =="
 cargo test -q --test endorsement_equivalence --test endorsement_faults
 
-echo "== storage battery: crash recovery + engine equivalence =="
+echo "== storage battery: crash recovery + baseline-vs-memory equivalence =="
 cargo test -q -p fabric-kvstore --test storage_recovery --test storage_equivalence
 
 echo "== multi-channel test battery under --release =="
@@ -156,5 +170,8 @@ fi
 
 echo "== gateway e2e bench: smoke run (FABRIC_BENCH_SMOKE=1) =="
 FABRIC_BENCH_SMOKE=1 cargo bench -q --bench gateway_e2e -p fabric-bench
+
+echo "== end-to-end benchmark: smoke test (perfbench/) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== ci.sh: all gates passed =="

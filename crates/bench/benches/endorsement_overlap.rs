@@ -85,7 +85,6 @@ fn main() {
                 ..Default::default()
             },
             sync_writes: false,
-            engine: Default::default(),
         },
     )
     .expect("peer joins");

@@ -1,26 +1,26 @@
-//! Storage-engine scale bench: baseline vs memory vs sharded LSM at 1M+
-//! keys.
+//! State-store scale bench: the durable baseline engine against its
+//! in-memory oracle at 1M+ keys.
 //!
-//! Loads `FABRIC_BENCH_KEYS` keys (default 1,000,000) into each engine on
-//! a RAM-disk backend, then measures, per engine:
+//! Loads `FABRIC_BENCH_KEYS` keys (default 1,000,000) into each store (the
+//! baseline on a RAM-disk backend), then measures, per store:
 //!
 //!   * bulk-load throughput and the post-load checkpoint latency,
 //!   * concurrent point-read throughput under a zipfian (theta 0.99,
 //!     YCSB-style) and a uniform key distribution,
 //!   * a read-heavy mixed phase (95% get / 5% put, zipfian) interleaved
-//!     with periodic checkpoints — the stop-the-world story: the baseline
-//!     rewrites the entire state per checkpoint while the LSM flushes
-//!     only the dirty delta,
+//!     with periodic checkpoints — the baseline rewrites the entire state
+//!     per checkpoint, the memory store has nothing to write,
 //!   * a write-heavy phase (50% get / 50% put, zipfian).
 //!
 //! `FABRIC_BENCH_SMOKE=1` shrinks everything to a few-second sanity run.
-//! `FABRIC_BENCH_JSON=<path>` additionally writes the results as JSON
-//! (committed as `BENCH_storage.json`).
+//! `FABRIC_BENCH_JSON=<path>` additionally writes the results as JSON,
+//! with the host's core count and the git revision (committed as
+//! `BENCH_storage.json`).
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use fabric::kvstore::{open_state_store, EngineKind, MemBackend, StateStore, WriteBatch};
+use fabric::kvstore::{BaselineStore, MemBackend, MemStore, StateStore, WriteBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -138,7 +138,7 @@ struct EngineReport {
 #[allow(clippy::too_many_arguments)]
 fn run_engine(
     name: &'static str,
-    engine: EngineKind,
+    store: Arc<dyn StateStore>,
     keys: u64,
     read_ops: u64,
     mixed_ops: u64,
@@ -146,8 +146,6 @@ fn run_engine(
     threads: usize,
     zipf: &Arc<Zipfian>,
 ) -> EngineReport {
-    let store = open_state_store(Arc::new(MemBackend::new()), false, &engine).expect("open");
-
     // Bulk load in batches of 1024.
     let start = Instant::now();
     let mut i = 0u64;
@@ -160,21 +158,18 @@ fn run_engine(
         store.write(batch).expect("load write");
         i = end;
     }
-    store.flush().expect("drain");
     let load_tps = keys as f64 / start.elapsed().as_secs_f64();
 
     let start = Instant::now();
     store.checkpoint().expect("post-load checkpoint");
     let load_checkpoint_ms = start.elapsed().as_secs_f64() * 1000.0;
 
-    // Fold the freshly loaded segments into steady-state read layout
-    // (one segment per shard for the LSM; a no-op for the others) before
-    // any timed read phase — the read benchmarks measure serving, not
-    // the tail of bulk ingest.
+    // Drop superseded versions before any timed read phase — the read
+    // benchmarks measure serving, not the tail of bulk ingest.
     store.compact().expect("post-load compaction");
 
-    // Untimed warmup: populate block caches and fault the hot paths in
-    // before any timed read phase (every engine gets the same treatment).
+    // Untimed warmup: fault the hot paths in before any timed read phase
+    // (every store gets the same treatment).
     run_phase(&store, threads, read_ops / 5, 0, Some(zipf), keys, 7);
     run_phase(&store, threads, read_ops / 5, 0, None, keys, 9);
 
@@ -182,9 +177,9 @@ fn run_engine(
     let read_uniform = run_phase(&store, threads, read_ops, 0, None, keys, 13);
 
     // Read-heavy mixed phase in 4 rounds with a checkpoint between each:
-    // wall clock includes the checkpoints, so stop-the-world engines pay
-    // for their full-state rewrites right where the paper's VSCC-style
-    // read-hot workload hurts most.
+    // wall clock includes the checkpoints, so the baseline pays for its
+    // full-state rewrites right where the paper's VSCC-style read-hot
+    // workload hurts most.
     let mut ck_ms = 0.0;
     let rounds = 4u64;
     let start = Instant::now();
@@ -240,20 +235,23 @@ fn main() {
     let mixed_ops: u64 = if smoke { 4_000 } else { 100_000 };
     let write_ops: u64 = if smoke { 2_000 } else { 50_000 };
 
-    println!("== storage engines at scale: {keys} keys, {threads} reader threads ==");
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    println!("== state stores at scale: {keys} keys, {threads} reader threads, {nproc} cores ==");
     println!("   zipfian theta 0.99 (YCSB); values 96 B; RAM-disk backend\n");
 
     let zipf = Arc::new(Zipfian::new(keys));
-    let engines: Vec<(&'static str, EngineKind)> = vec![
-        ("baseline", EngineKind::Baseline),
-        ("memory", EngineKind::Memory),
-        ("lsm", EngineKind::parse("lsm").unwrap()),
+    let stores: Vec<(&'static str, Arc<dyn StateStore>)> = vec![
+        (
+            "baseline",
+            Arc::new(BaselineStore::open(Arc::new(MemBackend::new()), false).expect("open")),
+        ),
+        ("memory", Arc::new(MemStore::new())),
     ];
 
     let mut reports = Vec::new();
-    for (name, engine) in engines {
+    for (name, store) in stores {
         let r = run_engine(
-            name, engine, keys, read_ops, mixed_ops, write_ops, threads, &zipf,
+            name, store, keys, read_ops, mixed_ops, write_ops, threads, &zipf,
         );
         println!(
             "{:>8}: load {:>9.0} tps | ck {:>7.1} ms | read zipf {:>9.0} op/s | uniform {:>9.0} op/s | mixed 95/5 {:>9.0} op/s (cks {:>7.1} ms) | write 50/50 {:>9.0} op/s",
@@ -268,18 +266,6 @@ fn main() {
         );
         reports.push(r);
     }
-
-    let base = reports
-        .iter()
-        .find(|r| r.name == "baseline")
-        .expect("baseline ran");
-    let lsm = reports.iter().find(|r| r.name == "lsm").expect("lsm ran");
-    println!(
-        "\nlsm vs baseline: read zipf {:+.1}% | mixed 95/5 {:+.1}% | checkpoint {:.1}x faster",
-        (lsm.read_zipf / base.read_zipf - 1.0) * 100.0,
-        (lsm.mixed_zipf / base.mixed_zipf - 1.0) * 100.0,
-        base.mixed_checkpoint_ms / lsm.mixed_checkpoint_ms.max(0.001),
-    );
 
     if let Ok(path) = std::env::var("FABRIC_BENCH_JSON") {
         let rows: Vec<String> = reports
@@ -299,7 +285,9 @@ fn main() {
             })
             .collect();
         let json = format!(
-            r#"{{"bench":"storage_scale","keys":{},"value_bytes":96,"threads":{},"zipf_theta":0.99,"engines":[{}]}}"#,
+            r#"{{"bench":"storage_scale","nproc":{},"git_revision":"{}","keys":{},"value_bytes":96,"threads":{},"zipf_theta":0.99,"engines":[{}]}}"#,
+            nproc,
+            git_revision(),
             keys,
             threads,
             rows.join(",")
@@ -307,4 +295,17 @@ fn main() {
         std::fs::write(&path, json).expect("write bench JSON");
         println!("wrote {path}");
     }
+}
+
+/// The checked-out commit (suffixed `-dirty` when the tree has local
+/// changes), or "unknown" outside a git checkout.
+fn git_revision() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
 }

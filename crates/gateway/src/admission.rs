@@ -3,6 +3,7 @@
 //! and per-client token buckets (lazy integer refill in milli-tokens —
 //! no floats, no wall clock, fully deterministic).
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 
 use fabric_primitives::ids::TxId;
@@ -85,10 +86,26 @@ struct TokenBucket {
     last_ms: u64,
 }
 
+impl TokenBucket {
+    /// Milli-tokens held at `now_ms`, refill included.
+    fn level(&self, now_ms: u64, rate: u64, burst_milli: u64) -> u64 {
+        let elapsed = now_ms.saturating_sub(self.last_ms);
+        self.tokens_milli
+            .saturating_add(elapsed.saturating_mul(rate))
+            .min(burst_milli)
+    }
+}
+
 const TOKEN: u64 = 1000;
 
+/// Most client buckets tracked at once. Bucket keys are creator bytes no
+/// one has verified yet, so without a cap a flood of forged creators
+/// would grow the map without limit.
+const MAX_BUCKETS: usize = 4096;
+
 /// Per-client admission state: the LRU dedup window plus one token
-/// bucket per client key (creator certificate bytes).
+/// bucket per client key (creator certificate bytes), at most
+/// [`MAX_BUCKETS`] of them.
 pub(crate) struct Admission {
     rate_per_sec: u64,
     burst_milli: u64,
@@ -118,19 +135,44 @@ impl Admission {
     fn refill(&mut self, client: &[u8], now_ms: u64) -> &mut TokenBucket {
         let burst = self.burst_milli;
         let rate = self.rate_per_sec;
+        if self.buckets.len() >= MAX_BUCKETS && !self.buckets.contains_key(client) {
+            self.evict(now_ms);
+        }
         let bucket = self
             .buckets
             .entry(client.to_vec())
             .or_insert(TokenBucket { tokens_milli: burst, last_ms: now_ms });
         if now_ms > bucket.last_ms {
-            let elapsed = now_ms - bucket.last_ms;
-            bucket.tokens_milli = bucket
-                .tokens_milli
-                .saturating_add(elapsed.saturating_mul(rate))
-                .min(burst);
+            bucket.tokens_milli = bucket.level(now_ms, rate, burst);
             bucket.last_ms = now_ms;
         }
         bucket
+    }
+
+    /// Makes room for more buckets. Every bucket that has refilled to the
+    /// burst goes first: a full bucket admits exactly like an absent one,
+    /// so forgetting it changes no verdict. If none is full, the fullest
+    /// eighth goes (oldest, then lowest key, among equals): it forgets the
+    /// least rate-limit state, the choice is deterministic, and a flood
+    /// pays for one sweep per eighth of the cap, not one per creator.
+    fn evict(&mut self, now_ms: u64) {
+        let burst = self.burst_milli;
+        let rate = self.rate_per_sec;
+        self.buckets.retain(|_, b| b.level(now_ms, rate, burst) < burst);
+        if self.buckets.len() < MAX_BUCKETS {
+            return;
+        }
+        let mut ranked: Vec<_> = self
+            .buckets
+            .iter()
+            .map(|(key, b)| (Reverse(b.level(now_ms, rate, burst)), b.last_ms, key))
+            .collect();
+        let evict = MAX_BUCKETS / 8;
+        ranked.select_nth_unstable(evict - 1);
+        let victims: Vec<Vec<u8>> = ranked[..evict].iter().map(|(_, _, key)| (*key).clone()).collect();
+        for key in &victims {
+            self.buckets.remove(key);
+        }
     }
 
     /// Dedup + rate pre-checks, cheapest first. Consumes nothing.
@@ -212,6 +254,44 @@ mod tests {
         assert!(matches!(adm.check(&id(9), c, 100), Gate::Pass));
         // Buckets are per client: another client is unaffected.
         assert!(matches!(adm.check(&id(10), b"other", 0), Gate::Pass));
+    }
+
+    fn creator(n: usize) -> Vec<u8> {
+        format!("forged-creator-{n}").into_bytes()
+    }
+
+    #[test]
+    fn forged_creator_flood_keeps_bucket_map_bounded() {
+        // Every forged creator is admitted once (the ordering face verifies
+        // nothing), so each leaves a drained, non-full bucket behind.
+        let mut adm = Admission::new(1, 1, 64);
+        for n in 0..4 * MAX_BUCKETS {
+            let now_ms = n as u64 / 64;
+            let tx = TxId(fabric_crypto::digest(&creator(n)));
+            assert!(matches!(adm.check(&tx, &creator(n), now_ms), Gate::Pass));
+            adm.commit(tx, &creator(n), now_ms);
+            assert!(adm.buckets.len() <= MAX_BUCKETS, "{} buckets", adm.buckets.len());
+        }
+    }
+
+    #[test]
+    fn full_buckets_are_evicted_before_drained_ones() {
+        // 1 token/sec, burst 1: the honest client drains its bucket.
+        let mut adm = Admission::new(1, 1, 64);
+        let honest = b"honest".as_slice();
+        adm.commit(id(1), honest, 0);
+        // A flood of checked-but-never-admitted forged creators leaves
+        // only full buckets behind; each eviction drops those, never the
+        // honest client's drained one.
+        for n in 0..2 * MAX_BUCKETS {
+            let tx = TxId(fabric_crypto::digest(&creator(n)));
+            assert!(matches!(adm.check(&tx, &creator(n), 1), Gate::Pass));
+        }
+        assert!(adm.buckets.len() <= MAX_BUCKETS);
+        match adm.check(&id(2), honest, 2) {
+            Gate::Limited { after_ms } => assert_eq!(after_ms, 998),
+            _ => panic!("drained bucket was forgotten"),
+        }
     }
 
     #[test]

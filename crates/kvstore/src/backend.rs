@@ -8,8 +8,8 @@
 //! Files expose two read paths: the historical `read_at(&mut self)` used
 //! by single-owner appenders, and [`BackendFile::read_at_shared`], a
 //! positioned read through `&self` (`pread` on the filesystem backend) so
-//! concurrent readers — block-cache misses, parallel VSCC state reads,
-//! block fetches — never serialize on one file lock.
+//! concurrent readers — block fetches from parallel validation and
+//! delivery — never serialize on one file lock.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -23,7 +23,7 @@ use crate::StoreError;
 
 /// A named, append-oriented byte file within a backend.
 ///
-/// `Sync` is required so segment readers can share one handle across
+/// `Sync` is required so block readers can share one handle across
 /// threads through the `&self` positioned-read path.
 pub trait BackendFile: Send + Sync {
     /// Appends bytes at the end, returning the offset they were written at.

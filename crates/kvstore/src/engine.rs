@@ -1,12 +1,11 @@
-//! The pluggable storage-engine boundary: [`StateStore`] / [`StateSnapshot`]
-//! traits, the engine selector [`EngineKind`], and the two simple backends
-//! (the single-memtable baseline wrapping [`KvStore`], and a pure
-//! in-memory store). The sharded LSM engine lives in [`crate::lsm`].
+//! The storage-engine boundary: the [`StateStore`] / [`StateSnapshot`]
+//! traits and their two implementations — the durable baseline wrapping
+//! [`KvStore`], and a pure in-memory store that serves as its equivalence
+//! oracle.
 //!
-//! Every engine maintains the incremental Merkle state root from
-//! [`crate::merkle`], so `state_root()` is O(1) regardless of backend and
-//! byte-identical across engines holding the same state — the equivalence
-//! battery depends on that.
+//! Both maintain the incremental Merkle state root from [`crate::merkle`],
+//! so `state_root()` is O(1) and byte-identical across the two for the
+//! same state — the equivalence battery depends on that.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
@@ -17,9 +16,7 @@ use parking_lot::{Mutex, RwLock};
 use fabric_crypto::Digest;
 
 use crate::backend::Backend;
-use crate::lsm::{LsmOptions, LsmStore};
 use crate::merkle::StateRoot;
-use crate::stats::StorageSnapshot;
 use crate::store::{KvStore, StoreConfig, WriteBatch};
 use crate::StoreError;
 
@@ -38,8 +35,6 @@ pub trait StateSnapshot: Send + Sync {
 /// Implementations must be cheaply shareable behind `Arc` and safe for
 /// concurrent readers during writes.
 pub trait StateStore: Send + Sync {
-    /// Short engine name for logs and bench labels.
-    fn name(&self) -> &'static str;
     /// Commits a batch atomically, returning its sequence number.
     fn write(&self, batch: WriteBatch) -> Result<u64, StoreError>;
     /// Reads the latest value of `key`.
@@ -56,10 +51,6 @@ pub trait StateStore: Send + Sync {
     fn checkpoint(&self) -> Result<(), StoreError>;
     /// Reclaims versions no live snapshot can observe.
     fn compact(&self) -> Result<(), StoreError>;
-    /// Waits for background work (flush/compaction) to drain.
-    fn flush(&self) -> Result<(), StoreError>;
-    /// Point-in-time storage counters.
-    fn stats(&self) -> StorageSnapshot;
     /// Number of live (non-tombstone) keys.
     fn len(&self) -> usize;
     /// Returns `true` if no live keys exist.
@@ -86,45 +77,6 @@ impl dyn StateStore {
         batch.delete(key);
         self.write(batch)
     }
-}
-
-/// Which storage engine backs a store.
-#[derive(Clone, Debug, Default)]
-pub enum EngineKind {
-    /// The original single-memtable MVCC store (equivalence baseline).
-    #[default]
-    Baseline,
-    /// Pure in-memory store: no WAL, no checkpoint files — the paper's
-    /// RAM-disk variant (Experiment 3) taken to its logical end.
-    Memory,
-    /// Sharded LSM: striped WALs, sorted segments, background compaction.
-    Lsm(LsmOptions),
-}
-
-impl EngineKind {
-    /// Parses an engine name as used by bench/CLI knobs
-    /// (`baseline`, `memory`, `lsm`).
-    pub fn parse(name: &str) -> Option<EngineKind> {
-        match name {
-            "baseline" => Some(EngineKind::Baseline),
-            "memory" => Some(EngineKind::Memory),
-            "lsm" => Some(EngineKind::Lsm(LsmOptions::default())),
-            _ => None,
-        }
-    }
-}
-
-/// Opens the configured engine over `backend`, recovering durable state.
-pub fn open_state_store(
-    backend: Arc<dyn Backend>,
-    sync_writes: bool,
-    engine: &EngineKind,
-) -> Result<Arc<dyn StateStore>, StoreError> {
-    Ok(match engine {
-        EngineKind::Baseline => Arc::new(BaselineStore::open(backend, sync_writes)?),
-        EngineKind::Memory => Arc::new(MemStore::new()),
-        EngineKind::Lsm(options) => Arc::new(LsmStore::open(backend, sync_writes, options)?),
-    })
 }
 
 /// One state transition within a batch: `(key, old value, new value)`.
@@ -154,8 +106,8 @@ pub(crate) fn batch_transitions(
 // Baseline engine: the original KvStore plus an incremental Merkle root.
 // ---------------------------------------------------------------------------
 
-/// [`KvStore`] behind the [`StateStore`] trait. Kept as the equivalence
-/// oracle for the sharded LSM engine.
+/// [`KvStore`] behind the [`StateStore`] trait: the durable engine every
+/// ledger opens.
 pub struct BaselineStore {
     kv: KvStore,
     backend: Arc<dyn Backend>,
@@ -183,18 +135,9 @@ impl BaselineStore {
             merkle: Mutex::new(merkle),
         })
     }
-
-    /// The wrapped store (tests and migration paths).
-    pub fn kv(&self) -> &KvStore {
-        &self.kv
-    }
 }
 
 impl StateStore for BaselineStore {
-    fn name(&self) -> &'static str {
-        "baseline"
-    }
-
     fn write(&self, batch: WriteBatch) -> Result<u64, StoreError> {
         if batch.is_empty() {
             return Ok(self.kv.last_seq());
@@ -242,14 +185,6 @@ impl StateStore for BaselineStore {
         Ok(())
     }
 
-    fn flush(&self) -> Result<(), StoreError> {
-        Ok(())
-    }
-
-    fn stats(&self) -> StorageSnapshot {
-        StorageSnapshot::default()
-    }
-
     fn len(&self) -> usize {
         self.kv.len()
     }
@@ -286,7 +221,7 @@ struct MemInner {
 }
 
 /// Versioned in-memory store: same MVCC semantics as the baseline with no
-/// durability. Checkpoint and flush are no-ops.
+/// durability (checkpoint is a no-op). The baseline's equivalence oracle.
 pub struct MemStore {
     inner: Arc<MemInner>,
 }
@@ -335,10 +270,6 @@ fn mem_scan(state: &MemState, start: &[u8], end: &[u8], at_seq: u64) -> Vec<(Vec
 }
 
 impl StateStore for MemStore {
-    fn name(&self) -> &'static str {
-        "memory"
-    }
-
     fn write(&self, batch: WriteBatch) -> Result<u64, StoreError> {
         if batch.is_empty() {
             return Ok(self.inner.state.read().seq);
@@ -423,14 +354,6 @@ impl StateStore for MemStore {
         Ok(())
     }
 
-    fn flush(&self) -> Result<(), StoreError> {
-        Ok(())
-    }
-
-    fn stats(&self) -> StorageSnapshot {
-        StorageSnapshot::default()
-    }
-
     fn len(&self) -> usize {
         let state = self.inner.state.read();
         state
@@ -476,41 +399,42 @@ mod tests {
     use crate::backend::MemBackend;
     use crate::merkle::root_of_entries;
 
-    fn engines() -> Vec<Arc<dyn StateStore>> {
+    fn engines() -> Vec<(&'static str, Arc<dyn StateStore>)> {
         vec![
-            Arc::new(BaselineStore::open(Arc::new(MemBackend::new()), false).unwrap()),
-            Arc::new(MemStore::new()),
-            Arc::new(LsmStore::open(Arc::new(MemBackend::new()), false, &LsmOptions::small()).unwrap()),
+            (
+                "baseline",
+                Arc::new(BaselineStore::open(Arc::new(MemBackend::new()), false).unwrap()),
+            ),
+            ("memory", Arc::new(MemStore::new())),
         ]
     }
 
     #[test]
     fn engines_agree_on_basics() {
-        for store in engines() {
+        for (name, store) in engines() {
             store.put("a", "1").unwrap();
             store.put("b", "2").unwrap();
             let snap = store.snapshot();
             store.delete("a").unwrap();
             store.put("c", "3").unwrap();
-            assert_eq!(store.get(b"a"), None, "{}", store.name());
-            assert_eq!(snap.get(b"a"), Some(b"1".to_vec()), "{}", store.name());
-            assert_eq!(snap.scan(b"", b"").len(), 2, "{}", store.name());
-            assert_eq!(store.scan(b"", b"").len(), 2, "{}", store.name());
-            assert_eq!(store.len(), 2, "{}", store.name());
-            assert_eq!(store.last_seq(), 4, "{}", store.name());
+            assert_eq!(store.get(b"a"), None, "{name}");
+            assert_eq!(snap.get(b"a"), Some(b"1".to_vec()), "{name}");
+            assert_eq!(snap.scan(b"", b"").len(), 2, "{name}");
+            assert_eq!(store.scan(b"", b"").len(), 2, "{name}");
+            assert_eq!(store.len(), 2, "{name}");
+            assert_eq!(store.last_seq(), 4, "{name}");
         }
     }
 
     #[test]
     fn state_roots_match_across_engines_and_oracle() {
         let mut roots = Vec::new();
-        for store in engines() {
+        for (name, store) in engines() {
             store.put("x", "1").unwrap();
             store.put("y", "2").unwrap();
             store.delete("x").unwrap();
-            store.flush().unwrap();
             let dump = store.scan(b"", b"");
-            assert_eq!(store.state_root(), root_of_entries(&dump), "{}", store.name());
+            assert_eq!(store.state_root(), root_of_entries(&dump), "{name}");
             roots.push(store.state_root());
         }
         assert!(roots.windows(2).all(|w| w[0] == w[1]));
@@ -528,14 +452,6 @@ mod tests {
         assert_eq!(t[1].1.as_deref(), Some(b"1".as_slice()));
         assert_eq!(t[2].1.as_deref(), Some(b"2".as_slice()));
         assert_eq!(t[2].2, None);
-    }
-
-    #[test]
-    fn parse_engine_names() {
-        assert!(matches!(EngineKind::parse("baseline"), Some(EngineKind::Baseline)));
-        assert!(matches!(EngineKind::parse("memory"), Some(EngineKind::Memory)));
-        assert!(matches!(EngineKind::parse("lsm"), Some(EngineKind::Lsm(_))));
-        assert!(EngineKind::parse("bogus").is_none());
     }
 
     #[test]

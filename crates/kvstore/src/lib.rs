@@ -12,6 +12,10 @@
 //! implementations (the latter doubles as the paper's RAM-disk variant in
 //! Experiment 3).
 //!
+//! The ledger programs against the [`StateStore`] trait. [`BaselineStore`]
+//! (this store plus an incremental Merkle state root) is the one durable
+//! engine; [`MemStore`] is the in-memory equivalence oracle tests swap in.
+//!
 //! ## Crash safety
 //!
 //! Every committed batch is framed with a CRC-32; recovery replays intact
@@ -22,17 +26,11 @@
 pub mod backend;
 mod engine;
 pub mod log;
-mod lsm;
 pub mod merkle;
-mod stats;
 mod store;
 
 pub use backend::{Backend, BackendFile, FsBackend, MemBackend};
-pub use engine::{
-    open_state_store, BaselineStore, EngineKind, MemStore, StateSnapshot, StateStore,
-};
-pub use lsm::{LsmOptions, LsmStore};
-pub use stats::{StorageSnapshot, StorageStats};
+pub use engine::{BaselineStore, MemStore, StateSnapshot, StateStore};
 pub use store::{KvStore, Snapshot, StoreConfig, WriteBatch};
 
 /// Errors produced by the store.

@@ -17,8 +17,8 @@ use crate::StoreError;
 /// Slicing-by-8 lookup tables for IEEE CRC-32 (polynomial 0xEDB88320),
 /// generated at compile time. `TABLES[0]` is the classic byte table; the
 /// higher tables fold 8 input bytes per iteration, which matters because
-/// every 4 KiB segment block is checksummed on each cache miss — the
-/// bitwise form costs ~8 shifts per byte and dominated the read path.
+/// every WAL and block-store record is checksummed on append and again on
+/// replay — the bitwise form costs ~8 shifts per byte.
 const CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use fabric_kvstore::backend::Backend;
-use fabric_kvstore::{open_state_store, EngineKind, MemBackend, WriteBatch};
+use fabric_kvstore::{BaselineStore, MemBackend, WriteBatch};
 use fabric_primitives::block::Block;
 use fabric_primitives::ids::{TxId, TxValidationCode};
 
@@ -25,27 +25,14 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// Opens (or creates) a ledger on `backend` with the default
-    /// (baseline) storage engine, replaying any blocks whose state changes
-    /// were lost in a crash.
+    /// Opens (or creates) a ledger on `backend`, replaying any blocks
+    /// whose state changes were lost in a crash.
     pub fn open(backend: Arc<dyn Backend>, sync_writes: bool) -> Result<Self, LedgerError> {
-        Self::open_with(backend, sync_writes, &EngineKind::Baseline)
-    }
-
-    /// Opens (or creates) a ledger on `backend` with an explicit storage
-    /// engine (baseline single-memtable store, pure in-memory, or the
-    /// sharded LSM), replaying any blocks whose state changes were lost in
-    /// a crash.
-    pub fn open_with(
-        backend: Arc<dyn Backend>,
-        sync_writes: bool,
-        engine: &EngineKind,
-    ) -> Result<Self, LedgerError> {
         let blocks = BlockStore::open(backend.clone(), sync_writes)?;
-        let store = open_state_store(backend, sync_writes, engine)?;
+        let store = BaselineStore::open(backend, sync_writes)?;
         let ledger = Ledger {
             blocks,
-            ptm: Ptm::new(store),
+            ptm: Ptm::new(Arc::new(store)),
         };
         ledger.recover()?;
         Ok(ledger)
@@ -254,21 +241,16 @@ impl Ledger {
     }
 
     /// The incremental Merkle root over the whole state database — O(1),
-    /// maintained by the storage engine on every commit. Two ledgers with
-    /// byte-identical state report the same root regardless of engine.
+    /// maintained by the state store on every commit. Two ledgers with
+    /// byte-identical state report the same root.
     pub fn state_root(&self) -> fabric_crypto::Digest {
         self.ptm.store().state_root()
     }
 
-    /// Durably checkpoints the state database (snapshot-consistent; the
-    /// engines no longer block commits for the duration).
+    /// Durably checkpoints the state database (snapshot-consistent; does
+    /// not block commits for the duration).
     pub fn checkpoint_state(&self) -> Result<(), LedgerError> {
         Ok(self.ptm.store().checkpoint()?)
-    }
-
-    /// Point-in-time storage-engine counters (cache, flush, compaction).
-    pub fn storage_stats(&self) -> fabric_kvstore::StorageSnapshot {
-        self.ptm.store().stats()
     }
 
     /// Direct access to the PTM (used by the peer's committer).

@@ -37,9 +37,6 @@ pub struct PeerConfig {
     pub runtime: RuntimeConfig,
     /// Whether ledger writes are fsync'd (SSD vs RAM-disk experiments).
     pub sync_writes: bool,
-    /// State-database engine (baseline memtable, pure in-memory, or the
-    /// sharded LSM).
-    pub engine: fabric_kvstore::EngineKind,
 }
 
 impl Default for PeerConfig {
@@ -50,7 +47,6 @@ impl Default for PeerConfig {
                 .unwrap_or(4),
             runtime: RuntimeConfig::default(),
             sync_writes: false,
-            engine: fabric_kvstore::EngineKind::default(),
         }
     }
 }
@@ -91,10 +87,8 @@ impl Peer {
         registry.install(LSCC_NAMESPACE, Arc::new(Lscc));
         let runtime = Arc::new(ChaincodeRuntime::new(registry, config.runtime));
 
-        let ledger = Arc::new(
-            Ledger::open_with(backend, config.sync_writes, &config.engine)
-                .map_err(PeerError::Ledger)?,
-        );
+        let ledger =
+            Arc::new(Ledger::open(backend, config.sync_writes).map_err(PeerError::Ledger)?);
         let peer = Peer {
             endorser: Arc::new(Endorser::new(identity.clone(), runtime.clone(), view.clone())),
             committer: Committer::new(view.clone(), config.vscc_parallelism),
@@ -150,10 +144,8 @@ impl Peer {
         let registry = Arc::new(ChaincodeRegistry::new());
         registry.install(LSCC_NAMESPACE, Arc::new(Lscc));
         let runtime = Arc::new(ChaincodeRuntime::new(registry, config.runtime));
-        let ledger = Arc::new(
-            Ledger::open_with(backend, config.sync_writes, &config.engine)
-                .map_err(PeerError::Ledger)?,
-        );
+        let ledger =
+            Arc::new(Ledger::open(backend, config.sync_writes).map_err(PeerError::Ledger)?);
         if ledger.height() == 0 {
             let m = &manifest.manifest;
             ledger

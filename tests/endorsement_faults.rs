@@ -43,7 +43,6 @@ fn faulty_peer(world: &PipelineWorld, name: &str, timeout: Duration) -> Peer {
                 },
             },
             sync_writes: false,
-            ..Default::default()
         },
     )
     .expect("peer joins");

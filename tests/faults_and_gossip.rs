@@ -41,7 +41,6 @@ fn dos_chaincode_cannot_stall_the_peer() {
                 ..Default::default()
             },
             sync_writes: false,
-            ..Default::default()
         },
     )
     .unwrap();
